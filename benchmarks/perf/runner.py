@@ -176,6 +176,14 @@ BENCHMARKS: list[BenchSpec] = [
         setup=lambda: _solve_inputs("stencil5", 0.36, 16),
         op=lambda s: _run_solver(s, scheme="LI", n_faults=3),
     ),
+    # the optimized recovery path of Sections 4.1-4.2: local-CG
+    # normal equations over cached per-rank operators, under the DVFS
+    # schedule (every construction moves all cores twice)
+    BenchSpec(
+        "solve_faulty_lsi_dvfs.stencil", "pyloop",
+        setup=lambda: _solve_inputs("stencil5", 0.36, 16),
+        op=lambda s: _run_solver(s, scheme="LSI-DVFS", n_faults=3),
+    ),
     BenchSpec(
         "solve_faulty_cr.stencil", "pyloop",
         setup=lambda: _solve_inputs("stencil5", 0.36, 16),

@@ -780,9 +780,16 @@ class FleetMonitor:
 class ChannelDrainer(threading.Thread):
     """Parent-side daemon thread pumping the queue into the monitor.
 
-    Runs until :meth:`stop` *and* the queue has gone quiet, so events a
-    worker managed to enqueue before exiting are never dropped.
+    Runs until it reads the sentinel :meth:`stop` enqueues.  ``stop`` is
+    called once the pool has joined and the queue is FIFO, so every
+    event a worker enqueued before exiting is handled first and none is
+    dropped.  Should the sentinel never arrive (a worker killed mid-put
+    can wedge the pipe), the drain also ends once the queue has stayed
+    quiet for 0.2 s after ``stop``.
     """
+
+    #: Enqueued by :meth:`stop`; no worker sends a one-element message.
+    _STOP = ("drain-stop",)
 
     def __init__(self, queue, monitor: FleetMonitor) -> None:
         super().__init__(name="repro-fleet-drain", daemon=True)
@@ -802,12 +809,15 @@ class ChannelDrainer(threading.Thread):
                 continue
             except (EOFError, OSError):
                 return
+            if message == self._STOP:
+                return
             try:
                 self.monitor.handle(message)
             except Exception:
                 continue  # a torn message must not kill the drain loop
 
     def stop(self, timeout_s: float = 10.0) -> None:
-        """Signal shutdown and wait for the backlog to drain."""
+        """Enqueue the sentinel and wait for the backlog to drain."""
         self._stop_event.set()
+        self.queue.put(self._STOP)
         self.join(timeout=timeout_s)

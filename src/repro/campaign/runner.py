@@ -512,16 +512,16 @@ class CampaignRunner:
     ):
         """Persist a fresh result and normalize it through the store.
 
-        Reading the result back means a cell served from cache tomorrow
-        is byte-for-byte the object this campaign returned today.  The
-        deterministic cell correlation id is stamped onto the traced
-        telemetry *before* the store write — same code path serial and
-        parallel, so the annotation cannot perturb bit-identity.
+        Decoding the payload just written means a cell served from cache
+        tomorrow is byte-for-byte the object this campaign returned
+        today.  The deterministic cell correlation id is stamped onto
+        the traced telemetry *before* the store write — same code path
+        serial and parallel, so the annotation cannot perturb
+        bit-identity.
         """
         annotate_cell_id(report, cell_correlation_id(cell))
         if self.store is not None:
-            self.store.put(cell, report, elapsed_s=elapsed)
-            report = self.store.get(cell)
+            report = self.store.put_report(cell, report, elapsed_s=elapsed)
         return self._emit(
             CellResult(
                 cell,

@@ -108,9 +108,30 @@ def _hash_material(store_format: int, config: dict, scheme: str) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
+#: Entries the :func:`cell_key` memo holds before it starts over.
+_KEY_MEMO_MAX = 8192
+_key_memo: dict[str, str] = {}
+
+
 def cell_key(cell: CampaignCell) -> str:
-    """Content hash identifying one cell's result."""
-    return _hash_material(STORE_FORMAT, asdict(cell.config), cell.scheme)
+    """Content hash identifying one cell's result.
+
+    Memoized: a campaign asks for the same cell's key several times (the
+    correlation id, the store probe and write, fleet events).  The memo
+    is keyed by ``repr(cell)``, which tells apart every pair of configs
+    the JSON key material would (``1`` vs ``1.0``, ``True`` vs ``1``,
+    ``-0.0`` vs ``0.0``) for a few microseconds against the hash's ~100.
+    It is bounded by starting over when full, which stays safe under the
+    server's threads without a lock.
+    """
+    tag = repr(cell)
+    key = _key_memo.get(tag)
+    if key is None:
+        key = _hash_material(STORE_FORMAT, asdict(cell.config), cell.scheme)
+        if len(_key_memo) >= _KEY_MEMO_MAX:
+            _key_memo.clear()
+        _key_memo[tag] = key
+    return key
 
 
 def legacy_cell_keys(cell: CampaignCell) -> list[str]:
@@ -185,6 +206,11 @@ class ResultStore:
         )
         self._db.executescript(_SCHEMA)
         self._db.execute("PRAGMA journal_mode=WAL")
+        # No fsync per commit: WAL stays consistent without it, and the
+        # payload files are not fsynced either, so syncing the index row
+        # alone bought no durability — a row lost to a power cut is a
+        # cache miss, and a row whose payload was lost self-heals.
+        self._db.execute("PRAGMA synchronous=NORMAL")
         self._db.execute("PRAGMA busy_timeout=30000")
         self._db.commit()
         #: Lookup counters since open: ``hits`` counts get_entry() calls
@@ -262,6 +288,24 @@ class ResultStore:
         self, cell: CampaignCell, report: SolveReport, *, elapsed_s: float = 0.0
     ) -> str:
         """Persist one result; returns its key.  Last writer wins."""
+        return self._write(cell, report, elapsed_s)[0]
+
+    def put_report(
+        self, cell: CampaignCell, report: SolveReport, *, elapsed_s: float = 0.0
+    ) -> SolveReport:
+        """Persist one result and return it as :meth:`get` would.
+
+        The report is decoded from the payload text just written, so it
+        is byte-for-byte what a later cache hit serves, without reading
+        the file back or querying the index.
+        """
+        _, text = self._write(cell, report, elapsed_s)
+        return report_from_dict(json.loads(text)["report"])
+
+    def _write(
+        self, cell: CampaignCell, report: SolveReport, elapsed_s: float
+    ) -> tuple[str, str]:
+        """Write payload then index row; returns ``(key, payload text)``."""
         key = cell_key(cell)
         path = self._payload_path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -270,8 +314,9 @@ class ResultStore:
             "cell": {"config": asdict(cell.config), "scheme": cell.scheme},
             "report": report_to_dict(report),
         }
+        text = json.dumps(payload, sort_keys=True)
         tmp = path.with_suffix(f".tmp.{os.getpid()}.{threading.get_ident()}")
-        tmp.write_text(json.dumps(payload, sort_keys=True))
+        tmp.write_text(text)
         os.replace(tmp, path)
         cfg = cell.config
         with self._lock:
@@ -305,7 +350,7 @@ class ResultStore:
                 ),
             )
             self._db.commit()
-        return key
+        return key, text
 
     # ------------------------------------------------------------------
     def put_manifest(self, manifest) -> str:

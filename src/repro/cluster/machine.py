@@ -8,7 +8,9 @@ the paper's.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cached_property
 
 
 #: Default DVFS limits of the Xeon E5-2670v3 (paper, Section 5.1), in GHz.
@@ -37,7 +39,11 @@ class FrequencyLadder:
         if self.fstep_ghz <= 0:
             raise ValueError("frequency step must be positive")
 
-    @property
+    # ``steps`` is read on every DVFS transition, so it is built once
+    # per ladder.  ``cached_property`` writes the instance ``__dict__``
+    # directly, which a frozen dataclass permits, and the fields it
+    # derives from are immutable.
+    @cached_property
     def steps(self) -> tuple[float, ...]:
         """All available frequencies, ascending, in GHz."""
         out = []
@@ -50,9 +56,25 @@ class FrequencyLadder:
         return tuple(out)
 
     def clamp(self, f_ghz: float) -> float:
-        """Snap ``f_ghz`` to the nearest available ladder step."""
+        """Snap ``f_ghz`` to the nearest available ladder step.
+
+        Ties go to the lowest step.  Along the ascending ladder the
+        distance ``|s - f|`` never rises below ``f`` and never falls
+        above it, so the nearest step brackets ``f`` and is found by
+        bisection; equal distances can only run leftwards from the step
+        just below ``f``, and that run is walked to its first step.
+        """
         steps = self.steps
-        return min(steps, key=lambda s: abs(s - f_ghz))
+        i = bisect_left(steps, f_ghz)
+        if i < len(steps) and (
+            i == 0 or abs(steps[i] - f_ghz) < abs(steps[i - 1] - f_ghz)
+        ):
+            return steps[i]
+        j = i - 1
+        d = abs(steps[j] - f_ghz)
+        while j > 0 and abs(steps[j - 1] - f_ghz) == d:
+            j -= 1
+        return steps[j]
 
     def __contains__(self, f_ghz: float) -> bool:
         return any(abs(f_ghz - s) < 1e-9 for s in self.steps)

@@ -48,12 +48,7 @@ import math
 
 import numpy as np
 
-try:  # scipy's raw CSR mat-vec kernel; bypasses the spmatrix dispatch
-    from scipy.sparse import _sparsetools as _spt
-
-    _csr_matvec = _spt.csr_matvec
-except (ImportError, AttributeError):  # pragma: no cover - older scipy
-    _csr_matvec = None
+from repro.matrices.spmv import csr_product
 
 #: The backend used when none is configured.
 DEFAULT_BACKEND = "batched"
@@ -128,17 +123,7 @@ class BatchedBackend(SolverBackend):
         a = cg.dmat.a
         x, r, p, rz = st.x, st.r, st.p, st.rz
         n = a.shape[0]
-        # Bypass the spmatrix dispatch: a @ p on a float64 CSR matrix is
-        # exactly zeros(n) + csr_matvec (see scipy's _matmul_vector), so
-        # calling the kernel directly is bit-identical and much cheaper.
-        use_kernel = (
-            _csr_matvec is not None
-            and getattr(a, "format", None) == "csr"
-            and a.dtype == np.float64
-        )
-        if use_kernel:
-            indptr, indices, data = a.indptr, a.indices, a.data
-        matvec = cg.dmat.matvec
+        product = csr_product(a)
         hist = np.empty(max_steps, dtype=np.float64)
         isfinite = math.isfinite
         sqrt = math.sqrt
@@ -162,11 +147,7 @@ class BatchedBackend(SolverBackend):
         taken = 0
         breakdown = False
         for _ in range(max_steps):
-            if use_kernel:
-                q.fill(0.0)
-                _csr_matvec(n, n, indptr, indices, data, p, q)
-            else:
-                q = matvec(p)
+            product(p, q)
             pq = float(dot(p, q))
             if pq <= 0 or not isfinite(pq):
                 breakdown = True
@@ -204,18 +185,20 @@ class LoopBackend(SolverBackend):
     name = "loop"
 
     def _rank_pieces(self):
-        """``(slice, packed_block)`` per rank, cached on the matrix."""
+        """``(slice, halo columns, local product)`` per rank, over the
+        packed blocks cached on the matrix."""
         dmat = self.cg.dmat
         part = dmat.partition
-        return [
-            (part.slice_of(rank), dmat.packed_block(rank))
-            for rank in range(dmat.nranks)
-        ]
+        pieces = []
+        for rank in range(dmat.nranks):
+            pb = dmat.packed_block(rank)
+            pieces.append((part.slice_of(rank), pb.cols, csr_product(pb.mat)))
+        return pieces
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         q = np.zeros(self.cg.dmat.n)
-        for sl, pb in self._rank_pieces():
-            _rank_spmv(pb, x, q[sl])
+        for sl, cols, product in self._rank_pieces():
+            product(x[cols], q[sl])
         return q
 
     def step_span(self, max_steps: int) -> tuple[int, bool]:
@@ -246,9 +229,11 @@ class LoopBackend(SolverBackend):
         for _ in range(max_steps):
             # Halo exchange + local SpMV, one rank at a time: each rank
             # gathers the x entries its off-diagonal columns need and
-            # multiplies its packed block into its own rows of q.
-            for sl, pb in pieces:
-                _rank_spmv(pb, p, q[sl])
+            # multiplies its packed block into its own rows of q — the
+            # global kernel restricted to those rows, bit for bit (the
+            # packed block keeps each row's nonzero storage order).
+            for sl, cols, product in pieces:
+                product(p[cols], q[sl])
             # p·q allreduce: the reduced scalar is identical on every
             # rank, so the global dot is the distributed reduction.
             pq = float(dot(p, q))
@@ -256,7 +241,7 @@ class LoopBackend(SolverBackend):
                 breakdown = True
                 break
             alpha = rz / pq
-            for sl, _ in pieces:
+            for sl, _, _ in pieces:
                 ts = tmp[sl]
                 multiply(p[sl], alpha, out=ts)
                 add(x[sl], ts, out=x[sl])
@@ -266,7 +251,7 @@ class LoopBackend(SolverBackend):
                     multiply(r[sl], minv[sl], out=z[sl])
             rz_new = float(dot(r, z))
             beta = rz_new / rz if rz > 0 else 0.0
-            for sl, _ in pieces:
+            for sl, _, _ in pieces:
                 ts = tmp[sl]
                 multiply(p[sl], beta, out=ts)
                 add(z[sl], ts, out=p[sl])
@@ -285,23 +270,3 @@ class LoopBackend(SolverBackend):
         cg.residual_history.extend(hist[:taken].tolist())
         return taken, breakdown
 
-
-def _rank_spmv(pb, x: np.ndarray, out: np.ndarray) -> None:
-    """One rank's local SpMV: halo-gather then packed-CSR multiply.
-
-    ``out`` is the rank's contiguous rows of the global product vector.
-    Bit-identical to the global kernel restricted to those rows: the
-    packed block preserves each row's nonzero storage order, so the
-    per-row sums accumulate the same values in the same order.
-    """
-    gathered = x[pb.cols]
-    mat = pb.mat
-    if _csr_matvec is not None and mat.dtype == np.float64:
-        out.fill(0.0)
-        _csr_matvec(
-            mat.shape[0], mat.shape[1],
-            mat.indptr, mat.indices, mat.data,
-            gathered, out,
-        )
-    else:  # pragma: no cover - older scipy
-        out[:] = mat @ gathered

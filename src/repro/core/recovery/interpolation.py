@@ -50,6 +50,7 @@ from repro.core.recovery.localsolve import (
 )
 from repro.faults.events import FaultEvent
 from repro.matrices.distributed import BYTES_PER_ENTRY
+from repro.matrices.spmv import csr_product, spmv
 from repro.power.energy import PhaseTag
 
 #: Local construction CG iteration cap, as a multiple of the block size.
@@ -221,20 +222,13 @@ class LinearInterpolation(_InterpolationBase):
         self, services: RecoveryServices, state: CGState, group: "list[int]"
     ) -> "tuple[float, dict]":
         sl = self._union_slice(services, group)
-        if len(group) == 1:
-            rows = services.dmat.row_block(group[0])
-            diag = services.dmat.diag_block(group[0])
-        else:
-            rows = sp.vstack(
-                [services.dmat.row_block(v) for v in group], format="csr"
-            )
-            diag = rows[:, sl].tocsr()
+        op = services.dmat.interpolation_block(tuple(group))
         n_loc = sl.stop - sl.start
 
         # Zero the damaged entries so the off-diagonal product excludes
         # the group's own (lost) contribution: y = b_U - sum_{j not in U} A_Uj x_j.
         state.x[sl] = 0.0
-        y = services.b[sl] - rows @ state.x
+        y = services.b[sl] - spmv(op.rows, state.x)
 
         # The group pulls the halo x entries the product above consumed;
         # halo traffic between group members is lost data, not a transfer.
@@ -248,7 +242,7 @@ class LinearInterpolation(_InterpolationBase):
         self._charge_rhs_comm(services, group[0], group_set, nbytes_in)
 
         if self.method == "lu":
-            x_i, lu = lu_solve_with_stats(diag, y)
+            x_i, lu = lu_solve_with_stats(op.diag, y)
             construct_s = services.local_compute_s(
                 lu.factor_flops, kind="factor"
             ) + services.local_compute_s(lu.solve_flops)
@@ -257,14 +251,15 @@ class LinearInterpolation(_InterpolationBase):
             # Jacobi preconditioning: the diagonal block inherits the
             # matrix's heterogeneous row scales, which would otherwise
             # dominate the local iteration count.
-            diag_of_block = np.maximum(diag.diagonal(), 1e-300)
+            apply_diag = csr_product(op.diag)
+            q = np.empty(n_loc)
             x_i, stats = local_cg(
-                lambda v: diag @ v,
+                lambda v: apply_diag(v, q),
                 y,
                 tol=self.construct_tol,
                 max_iters=MAX_LOCAL_ITER_FACTOR * max(n_loc, 1),
-                flops_per_apply=2.0 * diag.nnz,
-                jacobi_diag=diag_of_block,
+                flops_per_apply=2.0 * op.diag.nnz,
+                jacobi_diag=op.jacobi,
             )
             construct_s = services.local_compute_s(stats.flops)
             stats_detail = {
@@ -324,12 +319,6 @@ class LeastSquaresInterpolation(_InterpolationBase):
         self, services: RecoveryServices, state: CGState, group: "list[int]"
     ) -> "tuple[float, dict]":
         sl = self._union_slice(services, group)
-        if len(group) == 1:
-            rows = services.dmat.row_block(group[0])
-        else:
-            rows = sp.vstack(
-                [services.dmat.row_block(v) for v in group], format="csr"
-            )
         n = services.dmat.n
         n_loc = sl.stop - sl.start
 
@@ -369,20 +358,22 @@ class LeastSquaresInterpolation(_InterpolationBase):
             detail = {"lsqr_iters": stats.iterations}
         else:
             # Local normal equations (Eq. 21): operator v -> A_U (A_U^T v)
-            # built solely from the group's own (recovered static) rows.
-            rows_t = rows.T.tocsr()
-            rhs = rows @ beta
-            # Jacobi diagonal of A_U A_U^T = squared row norms: tames the
-            # squared, badly-scaled conditioning of the normal equations.
-            row_norms_sq = np.asarray(rows.multiply(rows).sum(axis=1)).ravel()
-            row_norms_sq = np.maximum(row_norms_sq, 1e-300)
+            # built solely from the group's own (recovered static) rows,
+            # Jacobi-preconditioned by the squared row norms, which tames
+            # the squared, badly-scaled conditioning of the system.
+            op = services.dmat.normal_equations(tuple(group))
+            apply_rows = csr_product(op.rows)
+            apply_rows_t = csr_product(op.rows_t)
+            rhs = apply_rows(beta)
+            t = np.empty(op.rows_t.shape[0])
+            q = np.empty(n_loc)
             x_i, stats = local_cg(
-                lambda v: rows @ (rows_t @ v),
+                lambda v: apply_rows(apply_rows_t(v, t), q),
                 rhs,
                 tol=self.construct_tol,
                 max_iters=MAX_LOCAL_ITER_FACTOR * max(n_loc, 1),
-                flops_per_apply=4.0 * rows.nnz,
-                jacobi_diag=row_norms_sq,
+                flops_per_apply=4.0 * op.rows.nnz,
+                jacobi_diag=op.jacobi,
             )
             construct_s = services.local_compute_s(stats.flops)
             self._charge_construction(services, group, construct_s, parallel=False)

@@ -17,6 +17,7 @@ parallel QR (LSI) of prior work [2].  This module hosts:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -48,7 +49,9 @@ def local_cg(
 
     Stops at relative residual ``tol`` or ``max_iters``.  ``flops`` in the
     returned stats is the cost-model input: iterations times one operator
-    application plus the BLAS-1 work.
+    application plus the BLAS-1 work.  Each ``matvec`` result is only
+    read within its own iteration, so the callable may return the same
+    scratch buffer every time.
 
     ``jacobi_diag``, when given, enables Jacobi preconditioning with that
     operator diagonal — essential for the LSI normal equations, whose
@@ -80,10 +83,12 @@ def local_cg(
     rz = float(r @ z)
     rr = float(r @ r)
     it = 0
-    while np.sqrt(rr) / rhs_norm > tol and it < max_iters:
+    # math.sqrt / math.isfinite on the Python-float scalars round exactly
+    # like their numpy counterparts, without the ufunc call overhead.
+    while math.sqrt(rr) / rhs_norm > tol and it < max_iters:
         q = matvec(p)
         pq = float(p @ q)
-        if pq <= 0 or not np.isfinite(pq):
+        if pq <= 0 or not math.isfinite(pq):
             break  # operator numerically not SPD; return best effort
         alpha = rz / pq
         x += alpha * p
@@ -95,7 +100,7 @@ def local_cg(
         rz = rz_new
         rr = float(r @ r)
         it += 1
-    rel = float(np.sqrt(max(rr, 0.0)) / rhs_norm)
+    rel = math.sqrt(max(rr, 0.0)) / rhs_norm
     flops = it * (flops_per_apply + dense_flops_per_row * n)
     return x, LocalSolveStats(it, rel, flops)
 

@@ -118,10 +118,12 @@ class ResilientSolver:
             self._dmat = a
         else:
             # Content-keyed: repeated solves over the same matrix share
-            # one halo analysis (repro.matrices.cache).
-            self._dmat = problem_cache.distributed_matrix(
-                sp.csr_matrix(a), cfg.nranks
-            )
+            # one halo analysis (repro.matrices.cache).  A CSR matrix is
+            # passed through, not re-wrapped, so the fingerprint cached
+            # on it is hashed once, not once per solve.
+            if not isinstance(a, sp.csr_matrix):
+                a = sp.csr_matrix(a)
+            self._dmat = problem_cache.distributed_matrix(a, cfg.nranks)
         self.scheme = scheme
         self.schedule = schedule or EmptySchedule()
         self.comm = SimComm(cfg.machine, cfg.nranks, cfg.network)

@@ -151,7 +151,8 @@ class Experiment:
         self.engine = engine if engine is not None else make_engine(config.engine)
         if a is None:
             a = matrix_suite.build(config.matrix, config.scale)
-        self.a = sp.csr_matrix(a)
+        # CSR passes through unchanged, keeping its cached fingerprint.
+        self.a = a if isinstance(a, sp.csr_matrix) else sp.csr_matrix(a)
         n = self.a.shape[0]
         if n < config.nranks:
             # Surface the tiny-n edge at construction with experiment

@@ -61,17 +61,22 @@ def matrix_fingerprint(a) -> str:
     if cached is not None:
         return cached
     m = a if (sp.issparse(a) and getattr(a, "format", None) == "csr") else sp.csr_matrix(a)
-    h = hashlib.blake2b(digest_size=16)
-    h.update(repr(m.shape).encode())
-    h.update(np.ascontiguousarray(m.indptr).tobytes())
-    h.update(np.ascontiguousarray(m.indices).tobytes())
-    h.update(np.ascontiguousarray(m.data).tobytes())
-    fp = h.hexdigest()
+    fp = _content_digest(m)
     try:
         setattr(a, _FP_ATTR, fp)
     except AttributeError:  # pragma: no cover - exotic matrix types
         pass
     return fp
+
+
+def _content_digest(m) -> str:
+    """One blake2 pass over a CSR matrix's shape and arrays."""
+    h = hashlib.blake2b(digest_size=16)
+    h.update(repr(m.shape).encode())
+    h.update(np.ascontiguousarray(m.indptr).tobytes())
+    h.update(np.ascontiguousarray(m.indices).tobytes())
+    h.update(np.ascontiguousarray(m.data).tobytes())
+    return h.hexdigest()
 
 
 class _LRU:

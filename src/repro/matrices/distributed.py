@@ -6,7 +6,10 @@ operate on (Figure 2, Equations 17-21):
 * ``row_block(i)``   — A_{p_i,:}, the rows owned by rank i;
 * ``diag_block(i)``  — A_{p_i,p_i}, the local square block LI solves with;
 * halo structure     — which remote x entries each rank's SpMV needs,
-  giving the per-iteration communication volumes of the cost model.
+  giving the per-iteration communication volumes of the cost model;
+* recovery operators — the per-victim-group systems LI and LSI solve
+  (:meth:`DistributedMatrix.interpolation_block`,
+  :meth:`DistributedMatrix.normal_equations`), built once per group.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.matrices.partition import BlockRowPartition
+from repro.matrices.spmv import spmv
 
 #: Bytes per vector entry exchanged (float64).
 BYTES_PER_ENTRY = 8
@@ -50,11 +54,42 @@ class PackedBlock:
     cols: np.ndarray     # global column indices, sorted
 
 
+@dataclass(frozen=True)
+class InterpolationBlock:
+    """LI's local system for a victim group ``U`` (Eq. 19).
+
+    ``rows`` is ``A_{U,:}`` (it forms the right-hand side), ``diag`` the
+    square block ``A_{U,U}`` the local CG solves with, and ``jacobi``
+    that block's diagonal floored at 1e-300 — its preconditioner.
+    """
+
+    rows: sp.csr_matrix
+    diag: sp.csr_matrix
+    jacobi: np.ndarray
+
+
+@dataclass(frozen=True)
+class NormalEquations:
+    """LSI's local normal equations for a victim group ``U`` (Eq. 21).
+
+    The operator is ``v -> rows @ (rows_t @ v)`` with ``rows = A_{U,:}``
+    and ``rows_t`` its CSR transpose; ``jacobi`` is the operator's
+    diagonal — the squared row norms of ``rows``, floored at 1e-300.
+    """
+
+    rows: sp.csr_matrix
+    rows_t: sp.csr_matrix
+    jacobi: np.ndarray
+
+
 class DistributedMatrix:
     """A global CSR matrix plus its block-row distribution."""
 
     def __init__(self, a: sp.spmatrix, partition: BlockRowPartition) -> None:
-        a = sp.csr_matrix(a)
+        # A CSR input is kept as is (not re-wrapped) so the content
+        # fingerprint cached on it (repro.matrices.cache) survives.
+        if not isinstance(a, sp.csr_matrix):
+            a = sp.csr_matrix(a)
         if a.shape[0] != a.shape[1]:
             raise ValueError("matrix must be square")
         if a.shape[0] != partition.n:
@@ -67,6 +102,9 @@ class DistributedMatrix:
         self.partition = partition
         self._blocks: dict[int, RankBlocks] = {}
         self._packed: dict[int, PackedBlock] = {}
+        #: Recovery operators keyed by (kind, victim group); see
+        #: :meth:`interpolation_block` and :meth:`normal_equations`.
+        self._operators: dict[tuple, object] = {}
 
     # ------------------------------------------------------------------
     @property
@@ -83,7 +121,7 @@ class DistributedMatrix:
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """Global SpMV (the numerics; costs are charged separately)."""
-        return self.a @ x
+        return spmv(self.a, x)
 
     # ------------------------------------------------------------------
     def blocks(self, rank: int) -> RankBlocks:
@@ -136,6 +174,56 @@ class DistributedMatrix:
             )
             self._packed[rank] = PackedBlock(mat=mat, cols=cols)
         return self._packed[rank]
+
+    def _group_rows(self, group: tuple[int, ...]) -> sp.csr_matrix:
+        """``A_{U,:}`` for a victim group ``U`` of contiguous ranks."""
+        if len(group) == 1:
+            return self.row_block(group[0])
+        return sp.vstack([self.row_block(v) for v in group], format="csr")
+
+    def interpolation_block(self, group: tuple[int, ...]) -> InterpolationBlock:
+        """LI's operator for victim group ``group`` (contiguous ranks).
+
+        Computed lazily once per group and cached, like
+        :meth:`packed_block`; the matrix is static, so every later
+        fault on the same group reuses it.
+        """
+        key = ("li", group)
+        op = self._operators.get(key)
+        if op is None:
+            rows = self._group_rows(group)
+            if len(group) == 1:
+                diag = self.diag_block(group[0])
+            else:
+                start = self.partition.slice_of(group[0]).start
+                stop = self.partition.slice_of(group[-1]).stop
+                diag = rows[:, start:stop].tocsr()
+            op = InterpolationBlock(
+                rows=rows,
+                diag=diag,
+                jacobi=np.maximum(diag.diagonal(), 1e-300),
+            )
+            self._operators[key] = op
+        return op
+
+    def normal_equations(self, group: tuple[int, ...]) -> NormalEquations:
+        """LSI's operator for victim group ``group`` (contiguous ranks).
+
+        Computed lazily once per group and cached, like
+        :meth:`interpolation_block`.
+        """
+        key = ("lsi", group)
+        op = self._operators.get(key)
+        if op is None:
+            rows = self._group_rows(group)
+            norms_sq = np.asarray(rows.multiply(rows).sum(axis=1)).ravel()
+            op = NormalEquations(
+                rows=rows,
+                rows_t=rows.T.tocsr(),
+                jacobi=np.maximum(norms_sq, 1e-300),
+            )
+            self._operators[key] = op
+        return op
 
     def row_block(self, rank: int) -> sp.csr_matrix:
         """A_{p_i,:} — all columns of the rows owned by ``rank``."""

@@ -96,8 +96,19 @@ class DvfsController:
         return self._apply(core, f_ghz, time_s)
 
     def set_all(self, f_ghz: float, *, time_s: float = 0.0) -> None:
-        for c in range(self.ncores):
-            self._apply(c, f_ghz, time_s)
+        """Move every core to ``f_ghz`` (snapped to the ladder once).
+
+        Same transitions, in core order, as applying the target core by
+        core."""
+        target = self.ladder.clamp(f_ghz)
+        freq = self._freq
+        moved = np.flatnonzero(np.abs(target - freq) > 1e-12)
+        if moved.size:
+            self.transitions.extend(
+                Transition(time_s, core, float(freq[core]), target)
+                for core in moved.tolist()
+            )
+            freq[moved] = target
 
     def on_utilization(self, core: int, utilization: float, *, time_s: float = 0.0) -> float:
         """``ondemand`` policy step: scale with observed utilisation.

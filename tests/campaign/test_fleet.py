@@ -11,6 +11,7 @@ its manifest snapshot is checked against what it was fed.
 
 from __future__ import annotations
 
+import multiprocessing
 import pickle
 import queue as queue_mod
 import time
@@ -423,6 +424,40 @@ class TestChannelDrainer:
         drainer.stop()
         assert not drainer.is_alive()
         assert mon.snapshot()["worker_rows"][0]["done"] == 1
+
+    def test_idle_stop_returns_without_the_poll(self):
+        mon, _ = _monitor()
+        q = multiprocessing.Queue()
+        try:
+            drainer = ChannelDrainer(q, mon)
+            drainer.start()
+            time.sleep(0.3)  # parked in get(): the old stop waited ~0.2 s
+            t0 = time.perf_counter()
+            drainer.stop()
+            elapsed = time.perf_counter() - t0
+        finally:
+            q.close()
+        assert not drainer.is_alive()
+        assert elapsed < 0.05
+
+    def test_events_enqueued_before_stop_all_arrive(self, tiny_spec):
+        mon, _ = _monitor(total=len(tiny_spec.cells()))
+        q = multiprocessing.Queue()
+        try:
+            drainer = ChannelDrainer(q, mon)
+            drainer.start()
+            for i, cell in enumerate(tiny_spec.cells()):
+                cid = cell_correlation_id(cell)
+                q.put(("event", cell_event(mon.run_id, "started", cell.label,
+                                           cid, 100 + i, 1)))
+                q.put(("event", cell_event(mon.run_id, "finished", cell.label,
+                                           cid, 100 + i, 1, elapsed_s=0.1)))
+            drainer.stop()
+        finally:
+            q.close()
+        assert not drainer.is_alive()
+        rows = mon.snapshot()["worker_rows"]
+        assert sum(r["done"] for r in rows) == len(tiny_spec.cells())
 
     def test_forwarded_log_lines_are_counted(self):
         from repro.obs.logging import root_manager

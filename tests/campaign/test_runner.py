@@ -1,5 +1,7 @@
 """Runner: execution, resume, retries, crashes, serial/parallel equality."""
 
+import json
+
 import pytest
 
 from repro.campaign.progress import (
@@ -13,6 +15,7 @@ from repro.campaign.runner import (
     execute_cell,
     run_campaign,
 )
+from repro.campaign.serialize import report_to_dict
 from repro.campaign.spec import CampaignCell, CampaignSpec
 from repro.campaign.store import ResultStore
 from repro.harness.experiment import ExperimentConfig
@@ -138,6 +141,21 @@ class TestSerialParallelEquality:
             assert a.cell == b.cell
             assert_reports_equal(a.report, b.report)
         assert format_normalized_tables(serial) == format_normalized_tables(parallel)
+
+    def test_returned_report_serializes_like_the_store_copy(
+        self, tiny_spec, store
+    ):
+        """The runner decodes the payload it just wrote instead of
+        reading it back; the report it returns must still be the one a
+        cache hit serves, byte for byte."""
+        result = run_campaign(tiny_spec, store=store, max_workers=1)
+        assert result.n_ran == len(tiny_spec.cells())
+        for r in result.results:
+            returned = json.dumps(report_to_dict(r.report), sort_keys=True)
+            stored = json.dumps(
+                report_to_dict(store.get(r.cell)), sort_keys=True
+            )
+            assert returned == stored, r.cell.label
 
     def test_cached_equals_fresh(self, tiny_spec, store):
         fresh = run_campaign(tiny_spec, store=store, max_workers=2)

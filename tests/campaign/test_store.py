@@ -2,14 +2,16 @@
 
 import json
 import threading
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
 from repro.campaign.serialize import report_from_dict, report_to_dict
+from repro.campaign import store as store_mod
 from repro.campaign.spec import CampaignCell
 from repro.campaign.store import (
+    STORE_FORMAT,
     ResultStore,
     _hash_material,
     cell_key,
@@ -107,6 +109,54 @@ class TestKeying:
     def test_scheme_changes_the_key(self, solved):
         cell, _ = solved
         assert cell_key(CampaignCell(cell.config, "RD")) != cell_key(cell)
+
+    def test_memo_returns_the_hash(self, solved):
+        cell, _ = solved
+        expected = _hash_material(STORE_FORMAT, asdict(cell.config), cell.scheme)
+        store_mod._key_memo.clear()
+        assert cell_key(cell) == expected  # computed
+        assert cell_key(cell) == expected  # memoized
+        twin = CampaignCell(replace(cell.config), cell.scheme)
+        assert cell_key(twin) == expected
+
+    @pytest.mark.parametrize(
+        "a,b",
+        [({"scale": 1.0}, {"scale": 1}), ({"seed": 1}, {"seed": True}),
+         ({"tol": 0.0}, {"tol": -0.0})],
+    )
+    def test_memo_keeps_json_distinct_configs_apart(self, solved, a, b):
+        """Configs that compare equal but encode differently keep the
+        distinct keys they had before the memo, in either order."""
+        cell, _ = solved
+        ca = CampaignCell(replace(cell.config, **a), cell.scheme)
+        cb = CampaignCell(replace(cell.config, **b), cell.scheme)
+        assert ca == cb
+        for first, second in ((ca, cb), (cb, ca)):
+            store_mod._key_memo.clear()
+            k1, k2 = cell_key(first), cell_key(second)
+            assert k1 == _hash_material(
+                STORE_FORMAT, asdict(first.config), first.scheme
+            )
+            assert k2 == _hash_material(
+                STORE_FORMAT, asdict(second.config), second.scheme
+            )
+            assert k1 != k2
+
+    def test_memo_key_covers_the_key_material(self):
+        """The memo is keyed by ``repr(cell)``: every hashed config field
+        must show in it, or two cells could share a memoized key."""
+        from dataclasses import fields
+
+        assert all(f.repr for f in fields(ExperimentConfig))
+        assert all(f.repr for f in fields(CampaignCell))
+
+    def test_memo_is_bounded(self, solved, monkeypatch):
+        cell, _ = solved
+        monkeypatch.setattr(store_mod, "_KEY_MEMO_MAX", 4)
+        store_mod._key_memo.clear()
+        for seed in range(10):
+            cell_key(CampaignCell(replace(cell.config, seed=seed), cell.scheme))
+            assert len(store_mod._key_memo) <= 4
 
 
 class TestStore:

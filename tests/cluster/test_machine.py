@@ -1,5 +1,8 @@
 """Unit tests for the machine description."""
 
+import math
+
+import numpy as np
 import pytest
 
 from repro.cluster.machine import (
@@ -33,6 +36,40 @@ class TestFrequencyLadder:
         assert ladder.clamp(1.26) == pytest.approx(1.3)
         assert ladder.clamp(99.0) == pytest.approx(2.3)
         assert ladder.clamp(0.1) == pytest.approx(1.2)
+
+    def test_steps_are_built_once(self):
+        ladder = FrequencyLadder()
+        assert ladder.steps is ladder.steps
+
+    @pytest.mark.parametrize(
+        "ladder",
+        [
+            FrequencyLadder(),
+            FrequencyLadder(fmin_ghz=1.2, fmax_ghz=2.35, fstep_ghz=0.1),
+            FrequencyLadder(fmin_ghz=0.8, fmax_ghz=3.0, fstep_ghz=0.25),
+            FrequencyLadder(fmin_ghz=1.5, fmax_ghz=1.5),
+            FrequencyLadder(fmin_ghz=1.0, fmax_ghz=1.000002, fstep_ghz=1e-7),
+        ],
+        ids=repr,
+    )
+    def test_clamp_matches_the_linear_scan(self, ladder):
+        """The bisection returns exactly what the nearest-step scan
+        (lowest step on ties) returned, over a dense sweep that includes
+        every step, both sides of every midpoint and non-finite input."""
+        def scan(f):
+            return min(ladder.steps, key=lambda s: abs(s - f))
+
+        steps = ladder.steps
+        sweep = list(np.linspace(-1.0, 5.0, 6001))
+        sweep += list(steps)
+        sweep += [(a + b) / 2 for a, b in zip(steps, steps[1:])]
+        sweep += [
+            s + d for s in steps for d in (1e-12, -1e-12, 0.05, -0.05)
+        ]
+        sweep += [math.nan, math.inf, -math.inf, 0.0, -0.0, 1e17, -1e17]
+        for f in sweep:
+            got, want = ladder.clamp(f), scan(f)
+            assert got == want and type(got) is type(want), f
 
     def test_contains(self):
         ladder = FrequencyLadder()

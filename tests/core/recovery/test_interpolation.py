@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.core.recovery.interpolation import (
+    MAX_LOCAL_ITER_FACTOR,
     LeastSquaresInterpolation,
     LinearInterpolation,
 )
+from repro.core.recovery.localsolve import local_cg
 from repro.faults.events import FaultEvent
 from repro.power.energy import PhaseTag
 
@@ -162,3 +165,61 @@ class TestLeastSquaresInterpolation:
     def test_dvfs_requires_cg(self):
         with pytest.raises(ValueError):
             LeastSquaresInterpolation(method="qr", dvfs=True)
+
+
+class TestConstructionOperators:
+    """The CG constructions solve exactly the textbook local systems:
+    each rebuilt block equals, bit for bit, ``local_cg`` over plain
+    scipy operators built on the spot (no cached operators, no scratch
+    buffers), for a lone victim and a two-rank group."""
+
+    @staticmethod
+    def _group(services, state, group):
+        for v in group:
+            damage(services, state, v)
+        part = services.partition
+        sl = slice(part.slice_of(group[0]).start, part.slice_of(group[-1]).stop)
+        rows = sp.vstack(
+            [services.dmat.row_block(v) for v in group], format="csr"
+        )
+        xz = state.x.copy()
+        xz[sl] = 0.0
+        return sl, rows, xz
+
+    @pytest.mark.parametrize("group", [(1,), (1, 2)])
+    def test_li_solves_the_diagonal_block(self, services, midsolve_state, group):
+        sl, rows, xz = self._group(services, midsolve_state, group)
+        diag = rows[:, sl].tocsr()
+        n_loc = sl.stop - sl.start
+        want, _ = local_cg(
+            lambda v: diag @ v,
+            services.b[sl] - rows @ xz,
+            tol=1e-6,
+            max_iters=MAX_LOCAL_ITER_FACTOR * n_loc,
+            flops_per_apply=2.0 * diag.nnz,
+            jacobi_diag=np.maximum(diag.diagonal(), 1e-300),
+        )
+        LinearInterpolation().recover(
+            services, midsolve_state, FaultEvent.multi(20, group)
+        )
+        assert np.array_equal(midsolve_state.x[sl], want)
+
+    @pytest.mark.parametrize("group", [(1,), (1, 2)])
+    def test_lsi_solves_the_normal_equations(
+        self, services, midsolve_state, group
+    ):
+        sl, rows, xz = self._group(services, midsolve_state, group)
+        norms_sq = np.asarray(rows.multiply(rows).sum(axis=1)).ravel()
+        n_loc = sl.stop - sl.start
+        want, _ = local_cg(
+            lambda v: rows @ (rows.T.tocsr() @ v),
+            rows @ (services.b - services.dmat.a @ xz),
+            tol=1e-6,
+            max_iters=MAX_LOCAL_ITER_FACTOR * n_loc,
+            flops_per_apply=4.0 * rows.nnz,
+            jacobi_diag=np.maximum(norms_sq, 1e-300),
+        )
+        LeastSquaresInterpolation().recover(
+            services, midsolve_state, FaultEvent.multi(20, group)
+        )
+        assert np.array_equal(midsolve_state.x[sl], want)

@@ -7,6 +7,9 @@ suite:
   the legacy per-iteration loop (``SolverConfig.fast``);
 * ``tests/core/test_backend_equivalence.py`` — the ``batched`` vs
   ``loop`` CG kernel backends (``SolverConfig.backend``);
+* ``tests/core/test_spmv_path.py`` — the raw-kernel product path with
+  cached recovery operators vs scipy's ``m @ v`` dispatch with every
+  operator rebuilt (:func:`scipy_dispatch`);
 * ``tests/faults`` — the property-based fault-schedule fuzzer.
 
 The helpers compare *every* seed-visible observable of a solve —
@@ -30,6 +33,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -57,6 +61,33 @@ def build(name):
     if name not in _built:
         _built[name] = MATRICES[name]()
     return _built[name]
+
+
+@contextmanager
+def scipy_dispatch():
+    """Solve the reference way: no raw kernel, no operator memo.
+
+    Inside the block every product bound by :mod:`repro.matrices.spmv`
+    takes its ``m @ v`` fallback (the module's kernel is set to
+    ``None``), and each recovery starts from an empty per-matrix
+    operator memo, so LI/LSI rebuild their local systems from scratch.
+    """
+    import repro.matrices.spmv as spmv_mod
+
+    kernel = spmv_mod._csr_matvec
+    handle_fault = ResilientSolver._handle_fault
+
+    def fresh_operators(solver, event):
+        solver._dmat._operators.clear()
+        return handle_fault(solver, event)
+
+    spmv_mod._csr_matvec = None
+    ResilientSolver._handle_fault = fresh_operators
+    try:
+        yield
+    finally:
+        spmv_mod._csr_matvec = kernel
+        ResilientSolver._handle_fault = handle_fault
 
 
 def run_solver(matrix_name: str, scheme_name: str | None, *,

@@ -203,3 +203,40 @@ class TestSolverIntegration:
         after = cache.cache_stats()["distributed"]["hits"]
         assert after > before
         assert s1.cg.dmat is s2.cg.dmat
+
+    @pytest.fixture()
+    def digests(self, monkeypatch):
+        """Counts blake2 passes over matrix content."""
+        calls = []
+        real = cache._content_digest
+
+        def counting(m):
+            calls.append(m.shape)
+            return real(m)
+
+        monkeypatch.setattr(cache, "_content_digest", counting)
+        return calls
+
+    @pytest.mark.parametrize("memory_cache", ["1", "0"])
+    def test_ten_solves_hash_the_matrix_once(
+        self, digests, monkeypatch, memory_cache
+    ):
+        from repro.core.solver import ResilientSolver, SolverConfig
+
+        monkeypatch.setenv("REPRO_PROBLEM_CACHE", memory_cache)
+        a = banded_spd(120, 5, dominance=0.05, seed=9)
+        b = a @ np.random.default_rng(0).standard_normal(a.shape[0])
+        for _ in range(10):
+            ResilientSolver(a, b, config=SolverConfig(nranks=4)).solve()
+        assert len(digests) == 1
+
+    def test_experiment_cells_hash_the_matrix_once(self, digests):
+        from repro.harness.experiment import Experiment, ExperimentConfig
+
+        a = banded_spd(120, 5, dominance=0.05, seed=9)
+        exp = Experiment(
+            ExperimentConfig(matrix="custom", nranks=4, n_faults=2), a=a
+        )
+        for scheme in ("RD", "LI", "LSI", "F0"):
+            exp.run(scheme)
+        assert len(digests) == 1

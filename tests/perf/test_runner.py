@@ -1,5 +1,7 @@
 """Perf-harness helpers that need no timing: the speedup readout."""
 
+from pathlib import Path
+
 from benchmarks.perf import runner
 
 
@@ -75,3 +77,15 @@ class TestBackendSpeedup:
             s.name for s in runner.BENCHMARKS if "smoke" in s.suites
         }
         assert "solve_esr_multifault.stencil" in smoke
+
+    def test_every_smoke_bench_has_a_committed_baseline(self):
+        """A smoke bench missing from BENCH_perf.json is only ever
+        reported as "new", never gated."""
+        committed = runner.load(
+            Path(__file__).resolve().parents[2] / "BENCH_perf.json"
+        )
+        smoke = {
+            s.name for s in runner.BENCHMARKS if "smoke" in s.suites
+        }
+        assert "solve_faulty_lsi_dvfs.stencil" in smoke
+        assert smoke <= set(committed["benchmarks"])

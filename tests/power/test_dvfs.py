@@ -101,6 +101,23 @@ class TestTransitions:
         ctl.set_all(1.2)
         assert ctl.transition_count() == 4
 
+    @pytest.mark.parametrize("f", [1.2, 1.26, 2.3, 0.3, 9.0])
+    def test_set_all_logs_what_per_core_steps_log(self, f):
+        """``set_all`` snaps once but records the same transitions, in
+        core order, as applying the target core by core."""
+        fast = DvfsController(ncores=6)
+        slow = DvfsController(ncores=6)
+        for c in (fast, slow):
+            c.set_governor(Governor.USERSPACE)
+            c.set_frequency(1, 1.5, time_s=0.5)
+            c.set_frequency(4, f, time_s=0.5)
+        fast.set_all(f, time_s=1.0)
+        for core in range(slow.ncores):
+            slow._apply(core, f, 1.0)
+        assert fast.transitions == slow.transitions
+        assert np.array_equal(fast.frequencies, slow.frequencies)
+        assert all(type(t.core) is int for t in fast.transitions)
+
     def test_rejects_zero_cores(self):
         with pytest.raises(ValueError):
             DvfsController(ncores=0)
